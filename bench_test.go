@@ -23,6 +23,7 @@ import (
 	"pgss/internal/cpu"
 	"pgss/internal/experiments"
 	"pgss/internal/faultinject"
+	"pgss/internal/sampling"
 	"pgss/internal/workload"
 )
 
@@ -258,6 +259,24 @@ func BenchmarkKMeans(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cluster.KMeans(points, cluster.Config{K: 10, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimPointSweep measures the Fig 12 SimPoint baseline at real
+// size: SimPointBest over the paper's eleven-configuration sweep, including
+// 300 clusters of 1M/scale-op intervals, on one benchmark's profile.
+func BenchmarkSimPointSweep(b *testing.B) {
+	s := benchSuite(b)
+	p, err := s.Profile("164.gzip")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep := sampling.SimPointSweep(10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sampling.SimPointBest(p, sweep); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,6 +21,7 @@ import (
 // the package is deterministic by construction (its Clock interface is
 // implemented with a wall clock only outside the engine, in campaign).
 var enginePaths = map[string]bool{
+	"pgss/internal/cluster":     true,
 	"pgss/internal/core":        true,
 	"pgss/internal/parallel":    true,
 	"pgss/internal/sampling":    true,

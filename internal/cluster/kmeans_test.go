@@ -164,3 +164,62 @@ func TestBIC(t *testing.T) {
 		t.Error("BIC of no points should be -Inf")
 	}
 }
+
+// TestNearestFarthestNearTies checks the squared-distance argmin and argmax
+// against the oracle's comparisons of rounded distances where the two
+// disagree: squared distances one ulp apart whose roots are equal. The
+// oracle keeps the earlier index; comparing squares alone would not.
+func TestNearestFarthestNearTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 50; trial++ {
+		a, b := nearTie(t, rng) // |b|² is one ulp below |a|²
+		origin := bbv.Vector{0, 0}
+		cents := []bbv.Vector{a, b}
+		flat := append(a.Clone(), b...)
+		if got, want := nearest(origin, flat, 2, 2), oracleNearest(origin, cents); got != want || got != 0 {
+			t.Fatalf("nearest = %d, oracle %d (want the earlier centroid 0)", got, want)
+		}
+		points := []bbv.Vector{b, a}
+		m, err := newMatrix(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign := []int{0, 0}
+		if got, want := farthest(m, make([]float64, 2), assign), oracleFarthest(points, []bbv.Vector{origin}, assign); got != want || got != 0 {
+			t.Fatalf("farthest = %d, oracle %d (want the earlier point 0)", got, want)
+		}
+	}
+}
+
+// nearTie returns two 2-D points whose squared distances from the origin
+// differ by exactly one ulp (b's smaller) and round to the same distance.
+func nearTie(t *testing.T, rng *rand.Rand) (a, b bbv.Vector) {
+	t.Helper()
+	zero := bbv.Vector{0, 0}
+	for tries := 0; tries < 10000; tries++ {
+		a = bbv.Vector{0.1 + 0.2*rng.Float64(), 0.7 + 0.2*rng.Float64()}
+		sqA := sumSquares(a)
+		for x := a[1] - 64*ulp(a[1]); x <= a[1]+64*ulp(a[1]); x = math.Nextafter(x, 2) {
+			b = bbv.Vector{x, a[0]}
+			sqB := sumSquares(b)
+			if sqB == math.Nextafter(sqA, 0) && zero.EuclideanDistance(b) == math.Sqrt(sqA) {
+				return a, b
+			}
+		}
+	}
+	t.Fatal("no near tie found")
+	return nil, nil
+}
+
+// sumSquares is the squared distance from the origin, summed in
+// dimension order as bbv.Vector.EuclideanDistance sums it.
+func sumSquares(v bbv.Vector) float64 {
+	var s float64
+	for _, x := range v {
+		d := 0 - x
+		s += d * d
+	}
+	return s
+}
+
+func ulp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) - x }

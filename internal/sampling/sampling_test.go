@@ -3,6 +3,7 @@ package sampling
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"pgss/internal/bbv"
@@ -260,6 +261,25 @@ func TestSimPointBestPicksLowestError(t *testing.T) {
 	}
 }
 
+// TestSimPointBestMatchesPerConfig: the sweep's shared BBV series must
+// give every configuration exactly the result SimPoint gives it alone.
+func TestSimPointBestMatchesPerConfig(t *testing.T) {
+	p := suiteProfile(t, "177.mesa", 2_000_000)
+	_, all, err := SimPointBest(p, SimPointSweep(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Result
+	for _, cfg := range SimPointSweep(100) {
+		if r, err := SimPoint(p, cfg); err == nil {
+			want = append(want, r)
+		}
+	}
+	if len(all) == 0 || !reflect.DeepEqual(all, want) {
+		t.Fatalf("SimPointBest results differ from per-config SimPoint:\n got  %+v\n want %+v", all, want)
+	}
+}
+
 func TestOnlineSimPoint(t *testing.T) {
 	p := suiteProfile(t, "177.mesa", 2_000_000)
 	cfg := OnlineSimPointConfig{IntervalOps: 100_000, ThresholdPi: 0.1}
@@ -412,6 +432,25 @@ func TestSimPointAutoChoosesReasonableK(t *testing.T) {
 	}
 	if res.Config[:4] != "auto" {
 		t.Errorf("config label %q", res.Config)
+	}
+}
+
+// TestSimPointAutoMatchesSimPoint: reusing the BIC sweep's series must
+// leave the final clustering exactly what SimPoint computes at the chosen
+// k.
+func TestSimPointAutoMatchesSimPoint(t *testing.T) {
+	p := suiteProfile(t, "177.mesa", 2_000_000)
+	res, err := SimPointAuto(p, 100_000, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := SimPoint(p, SimPointConfig{IntervalOps: 100_000, K: res.Phases, Seed: 1, Restarts: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Config = "auto(BIC)=" + want.Config
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("SimPointAuto = %+v, SimPoint at k=%d = %+v", res, res.Phases, want)
 	}
 }
 

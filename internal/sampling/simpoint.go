@@ -3,6 +3,7 @@ package sampling
 import (
 	"fmt"
 
+	"pgss/internal/bbv"
 	"pgss/internal/cluster"
 	"pgss/internal/pgsserrors"
 	"pgss/internal/profile"
@@ -83,6 +84,13 @@ func SimPointOverall(scale uint64) SimPointConfig {
 // (SimPoint's profiling run does not warm microarchitectural state); the
 // representative of each cluster is charged as detailed simulation.
 func SimPoint(p *profile.Profile, cfg SimPointConfig) (Result, error) {
+	return simPoint(p, cfg, p.BBVSeries)
+}
+
+// simPoint is SimPoint with the profile's BBV series supplied by series,
+// so callers that cluster one profile many times compute each interval
+// size's series once. The series is only read.
+func simPoint(p *profile.Profile, cfg SimPointConfig, series func(intervalOps uint64) ([]bbv.Vector, error)) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -97,7 +105,7 @@ func SimPoint(p *profile.Profile, cfg SimPointConfig) (Result, error) {
 		Benchmark: p.Benchmark,
 		TrueIPC:   p.TrueIPC(),
 	}
-	vectors, err := p.BBVSeries(cfg.IntervalOps)
+	vectors, err := series(cfg.IntervalOps)
 	if err != nil {
 		return res, err
 	}
@@ -189,7 +197,8 @@ func SimPointAuto(p *profile.Profile, intervalOps uint64, maxK int, seed int64) 
 			bestK, bestBIC = k, bic
 		}
 	}
-	res, err := SimPoint(p, SimPointConfig{IntervalOps: intervalOps, K: bestK, Seed: seed, Restarts: 3})
+	res, err := simPoint(p, SimPointConfig{IntervalOps: intervalOps, K: bestK, Seed: seed, Restarts: 3},
+		func(uint64) ([]bbv.Vector, error) { return vectors, nil })
 	if err != nil {
 		return res, err
 	}
@@ -201,8 +210,21 @@ func SimPointAuto(p *profile.Profile, intervalOps uint64, maxK int, seed int64) 
 // result with the lowest error — the "best per benchmark" series of
 // Fig 12 — plus all individual results.
 func SimPointBest(p *profile.Profile, sweep []SimPointConfig) (best Result, all []Result, err error) {
+	// The sweep's configurations share interval sizes (three among the
+	// paper's eleven): compute each size's BBV series once.
+	memo := map[uint64][]bbv.Vector{}
+	seriesOf := func(intervalOps uint64) ([]bbv.Vector, error) {
+		if v, ok := memo[intervalOps]; ok {
+			return v, nil
+		}
+		v, err := p.BBVSeries(intervalOps)
+		if err == nil {
+			memo[intervalOps] = v
+		}
+		return v, err
+	}
 	for _, cfg := range sweep {
-		r, e := SimPoint(p, cfg)
+		r, e := simPoint(p, cfg, seriesOf)
 		if e != nil {
 			// Configurations too coarse for the program (interval larger
 			// than the run) are skipped, as they would be in practice.
