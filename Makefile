@@ -17,7 +17,7 @@ PROFILE_DIR ?= /tmp/pgss-profile
 # Benchmarks `make profile` runs under the profiler.
 PROFILE_BENCH ?= BenchmarkAblation
 
-.PHONY: build test vet fmt-check lint lint-custom lint-fix vuln race bench bench-json bench-check profile cover fuzz-smoke validate chaos-smoke ci clean
+.PHONY: build test vet fmt-check lint lint-custom lint-fix vuln race perfbench-test bench bench-json bench-check profile cover fuzz-smoke validate chaos-smoke ci clean
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,12 @@ vuln:
 # the race detector is part of the acceptance bar, not an optional extra.
 race:
 	$(GO) test -race ./...
+
+# perfbench (the end-to-end benchmark, perfbench/NOTES.md) is a separate
+# module, so `go test ./...` at the root does not reach it. Its tests
+# include a tiny-size smoke run of every workload with its output checks.
+perfbench-test:
+	cd perfbench && GOFLAGS=-mod=mod GOWORK=off $(GO) test ./...
 
 # All BENCH_PKGS packages, one iteration each: a smoke run that proves every
 # benchmark still compiles and executes. Raise BENCHTIME for real
@@ -136,7 +142,7 @@ validate:
 chaos-smoke:
 	$(GO) run ./cmd/pgss-chaos -seeds 10 -seed 100
 
-ci: build vet fmt-check lint test race validate chaos-smoke
+ci: build vet fmt-check lint test race perfbench-test validate chaos-smoke
 
 clean:
 	$(GO) clean ./...

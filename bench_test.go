@@ -20,14 +20,19 @@ import (
 	"pgss"
 	"pgss/internal/bbv"
 	"pgss/internal/cluster"
+	"pgss/internal/core"
 	"pgss/internal/cpu"
 	"pgss/internal/experiments"
 	"pgss/internal/faultinject"
+	"pgss/internal/parallel"
 	"pgss/internal/sampling"
 	"pgss/internal/workload"
 )
 
 // benchSuite is shared across figure benchmarks so profiles record once.
+// Its programs run benchSuiteOps ops.
+const benchSuiteOps = 30_000_000
+
 var (
 	benchSuiteOnce sync.Once
 	benchSuiteVal  *experiments.Suite
@@ -38,7 +43,7 @@ func benchSuite(b *testing.B) *experiments.Suite {
 	benchSuiteOnce.Do(func() {
 		benchSuiteVal = experiments.MustNewSuite(experiments.Options{
 			Scale:    10,
-			TotalOps: 30_000_000,
+			TotalOps: benchSuiteOps,
 			HashSeed: 42,
 			Quiet:    true,
 		})
@@ -293,6 +298,50 @@ func BenchmarkPGSSReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := pgss.RunPGSS(p, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPGSSLive measures one checkpoint-accelerated live PGSS run at
+// real size, as the campaign's PGSS-Live technique runs it: functional
+// shard windows and cursor-resumed detailed samples over the suite's
+// checkpoint library, on one shard and one sample worker.
+func BenchmarkPGSSLive(b *testing.B) {
+	s := benchSuite(b)
+	const name = "197.parser"
+	p, err := s.Profile(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib, err := s.CheckpointLibrary(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec, err := workload.Get(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := spec.Build(benchSuiteOps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	newCore := func() (*cpu.Core, error) {
+		m, err := cpu.NewMachine(prog)
+		if err != nil {
+			return nil, err
+		}
+		return cpu.NewCore(m, cpu.DefaultCoreConfig())
+	}
+	src, err := parallel.NewLiveSource(lib, s.Hash(), newCore, p.TotalOps, p.TrueIPC())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := core.DefaultConfig(s.Scale())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := parallel.Run(context.Background(), src, cfg, parallel.Options{Shards: 1, SampleWorkers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -302,6 +302,42 @@ func TestMapFile(t *testing.T) {
 	}
 }
 
+// TestMapFileReleasable: the releasable mapping holds the file's bytes,
+// releases cleanly, and for empty files (which are never mapped) release
+// does nothing.
+func TestMapFileReleasable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "container.bin")
+	data := build(t, 2, []byte("released"))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, release, err := MapFileReleasable(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mapped, data) {
+		t.Fatal("mapped bytes differ from the file")
+	}
+	if err := release(); err != nil {
+		t.Fatalf("release: %v", err)
+	}
+
+	empty := filepath.Join(t.TempDir(), "empty.bin")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, release, err := MapFileReleasable(empty)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("MapFileReleasable(empty) = %d bytes, %v", len(got), err)
+	}
+	if err := release(); err != nil {
+		t.Fatalf("release of an unmapped buffer: %v", err)
+	}
+	if _, _, err := MapFileReleasable(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
+		t.Fatal("MapFileReleasable(missing) succeeded")
+	}
+}
+
 type failWriter struct{ after int }
 
 func (w *failWriter) Write(p []byte) (int, error) {

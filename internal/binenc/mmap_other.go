@@ -10,3 +10,9 @@ import "os"
 func MapFile(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
+
+// MapFileReleasable is MapFile plus a release function; with no mapping to
+// undo, release does nothing.
+func MapFileReleasable(path string) (data []byte, release func() error, err error) {
+	return readFile(path)
+}

@@ -7,6 +7,7 @@ package branch
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // counter is a saturating 2-bit counter. Values 0..1 predict not-taken,
@@ -297,28 +298,36 @@ type State struct {
 
 // Snapshot captures all predictor state.
 func (u *Unit) Snapshot() State {
-	s := State{
-		BTBTags:    append([]uint64(nil), u.btb.tags...),
-		BTBTargets: append([]uint64(nil), u.btb.targets...),
-		RASStack:   append([]uint64(nil), u.ras.stack...),
-		RASTop:     u.ras.top,
-		RASDepth:   u.ras.depth,
-		Stats:      u.stats,
-	}
+	var s State
+	u.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto is Snapshot into s, reusing s's slices when they are large
+// enough, so repeated captures into one state do not allocate.
+func (u *Unit) SnapshotInto(s *State) {
+	var table []counter
+	var history uint64
 	switch d := u.dir.(type) {
 	case *Gshare:
-		s.DirCounters = make([]uint8, len(d.table))
-		for i, c := range d.table {
-			s.DirCounters[i] = uint8(c)
-		}
-		s.DirHistory = d.history
+		table, history = d.table, d.history
 	case *Bimodal:
-		s.DirCounters = make([]uint8, len(d.table))
-		for i, c := range d.table {
-			s.DirCounters[i] = uint8(c)
-		}
+		table = d.table
 	}
-	return s
+	dir := slices.Grow(s.DirCounters[:0], len(table))
+	for _, c := range table {
+		dir = append(dir, uint8(c))
+	}
+	*s = State{
+		DirCounters: dir,
+		DirHistory:  history,
+		BTBTags:     append(s.BTBTags[:0], u.btb.tags...),
+		BTBTargets:  append(s.BTBTargets[:0], u.btb.targets...),
+		RASStack:    append(s.RASStack[:0], u.ras.stack...),
+		RASTop:      u.ras.top,
+		RASDepth:    u.ras.depth,
+		Stats:       u.stats,
+	}
 }
 
 // Restore reinstates a snapshot taken from a unit of identical geometry.

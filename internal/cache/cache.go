@@ -194,10 +194,18 @@ type State struct {
 
 // Snapshot captures the cache's contents and statistics.
 func (c *Cache) Snapshot() State {
-	return State{
-		Tags:  append([]uint64(nil), c.tags...),
-		LRU:   append([]uint64(nil), c.lru...),
-		Dirty: append([]bool(nil), c.dirty...),
+	var s State
+	c.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto is Snapshot into s, reusing s's slices when they are large
+// enough, so repeated captures into one state do not allocate.
+func (c *Cache) SnapshotInto(s *State) {
+	*s = State{
+		Tags:  append(s.Tags[:0], c.tags...),
+		LRU:   append(s.LRU[:0], c.lru...),
+		Dirty: append(s.Dirty[:0], c.dirty...),
 		Clock: c.clock,
 		Stats: c.stats,
 	}

@@ -36,7 +36,9 @@ type Checkpoint struct {
 	L1D     cache.State
 	L2      cache.State
 	Branch  branch.State
-	// Cycle is the timing model's cycle count at capture.
+	// Cycle is never set: the cycle count lives in Timing. The field stays
+	// because stored libraries are gob-encoded, and gob's type descriptor,
+	// which names every field, is part of the stored bytes.
 	Cycle uint64
 	// Hier carries hierarchy-level counters.
 	MemAccesses uint64
@@ -44,16 +46,23 @@ type Checkpoint struct {
 
 // Capture snapshots a core.
 func Capture(c *cpu.Core) *Checkpoint {
-	return &Checkpoint{
-		Ops:         c.M.Retired(),
-		Machine:     c.M.Snapshot(),
-		Timing:      c.T.SnapshotState(),
-		L1I:         c.Hier.L1I.Snapshot(),
-		L1D:         c.Hier.L1D.Snapshot(),
-		L2:          c.Hier.L2.Snapshot(),
-		Branch:      c.BP.Snapshot(),
-		MemAccesses: c.Hier.MemAccesses,
-	}
+	ck := new(Checkpoint)
+	ck.capture(c)
+	return ck
+}
+
+// capture overwrites ck with a snapshot of c, copying the machine data
+// image, the cache contents and the predictor tables into ck's existing
+// slices when they are large enough.
+func (ck *Checkpoint) capture(c *cpu.Core) {
+	ck.Ops = c.M.Retired()
+	c.M.SnapshotInto(&ck.Machine)
+	ck.Timing = c.T.SnapshotState()
+	c.Hier.L1I.SnapshotInto(&ck.L1I)
+	c.Hier.L1D.SnapshotInto(&ck.L1D)
+	c.Hier.L2.SnapshotInto(&ck.L2)
+	c.BP.SnapshotInto(&ck.Branch)
+	ck.MemAccesses = c.Hier.MemAccesses
 }
 
 // Restore reinstates the checkpoint into a core built for the same program
@@ -152,24 +161,20 @@ func (l *Library) Nearest(pos uint64) *Checkpoint {
 // (the random-access overhead the paper's §6 calls "the overhead of
 // loading checkpoints").
 func (l *Library) Seek(c *cpu.Core, pos uint64) (warmOps uint64, err error) {
-	ck := l.Nearest(pos)
-	if err := ck.Restore(c); err != nil {
+	return warmFrom(l.Nearest(pos), c, pos)
+}
+
+// SeekFF moves the core's architectural state to exactly pos: it restores
+// only the nearest checkpoint's machine state and fast-forwards, with no
+// cache or predictor warming. The core's microarchitectural state is left
+// as it was, so SeekFF suits consumers of the retire stream alone (window
+// BBVs and MAVs): warming never feeds back into architectural execution,
+// so the retire stream from pos on is the one Seek would give.
+func (l *Library) SeekFF(c *cpu.Core, pos uint64) (ffOps uint64, err error) {
+	if err := c.M.Restore(l.Nearest(pos).Machine); err != nil {
 		return 0, err
 	}
-	buf := c.BlockBuf()
-	for c.M.Retired() < pos {
-		chunk := pos - c.M.Retired()
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n := c.StepWarmBlock(buf[:chunk])
-		warmOps += uint64(n)
-		if uint64(n) < chunk {
-			return warmOps, pgsserrors.Invalidf("checkpoint: program ended at %d before position %d",
-				c.M.Retired(), pos)
-		}
-	}
-	return warmOps, nil
+	return stepTo(c, pos, (*cpu.Core).StepFFBlock)
 }
 
 // SampleAt seeks to pos, runs warmup detailed ops unmeasured and sample
@@ -180,34 +185,89 @@ func (l *Library) SampleAt(c *cpu.Core, pos, warmup, sample uint64) (ipc float64
 	if err != nil {
 		return 0, seekOps, err
 	}
+	ipc, err = measure(c, pos, warmup, sample)
+	return ipc, seekOps, err
+}
+
+// Sampler takes live samples on one core in any position order, each with
+// exactly the IPC Library.SampleAt gives on a fresh core. It keeps a
+// cursor: a reusable checkpoint of its own core, captured after the last
+// sample's functional warm-forward and before its detailed warm-up. A
+// sample whose position lies past the cursor and whose nearest library
+// checkpoint lies before it warms forward from the cursor instead of the
+// checkpoint. That is exact: the cursor is itself restore(checkpoint) +
+// warm(→cursor) for that same checkpoint, and warming is chunk-invariant,
+// so warming on to pos gives restore(checkpoint) + warm(→pos) bit for bit.
+// Samples requested in ascending order, as the one-worker engine requests
+// them, mostly resume from the cursor.
+type Sampler struct {
+	lib       *Library
+	core      *cpu.Core
+	cursor    Checkpoint
+	hasCursor bool
+}
+
+// NewSampler returns a sampler that owns c, a core built for the library's
+// program and configuration. A Sampler is single-goroutine.
+func (l *Library) NewSampler(c *cpu.Core) *Sampler {
+	return &Sampler{lib: l, core: c}
+}
+
+// Sample takes one live sample from op position pos: warmup unmeasured
+// detailed ops, then sample measured ones. It implements the parallel
+// engine's Sampler.
+func (s *Sampler) Sample(pos, warmup, sample uint64) (float64, error) {
+	from := s.lib.Nearest(pos)
+	if s.hasCursor && from.Ops < s.cursor.Ops && s.cursor.Ops <= pos {
+		from = &s.cursor
+	}
+	if _, err := warmFrom(from, s.core, pos); err != nil {
+		return 0, err
+	}
+	s.cursor.capture(s.core)
+	s.hasCursor = true
+	return measure(s.core, pos, warmup, sample)
+}
+
+// warmFrom restores ck into the core and warms forward to exactly pos.
+func warmFrom(ck *Checkpoint, c *cpu.Core, pos uint64) (warmOps uint64, err error) {
+	if err := ck.Restore(c); err != nil {
+		return 0, err
+	}
+	return stepTo(c, pos, (*cpu.Core).StepWarmBlock)
+}
+
+// stepTo runs the core in one execution mode (a Step*Block method) up to
+// exactly op position pos, in block-sized batches, and returns the ops
+// stepped. It fails if the program ends first.
+func stepTo(c *cpu.Core, pos uint64, step func(*cpu.Core, []cpu.Retired) int) (uint64, error) {
 	buf := c.BlockBuf()
-	for got := uint64(0); got < warmup; {
-		chunk := warmup - got
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n := c.StepDetailedBlock(buf[:chunk])
-		got += uint64(n)
+	var stepped uint64
+	for c.M.Retired() < pos {
+		chunk := min(pos-c.M.Retired(), uint64(len(buf)))
+		n := step(c, buf[:chunk])
+		stepped += uint64(n)
 		if uint64(n) < chunk {
-			return 0, seekOps, pgsserrors.Invalidf("checkpoint: program ended during warm-up")
+			return stepped, pgsserrors.Invalidf("checkpoint: program ended at %d before position %d",
+				c.M.Retired(), pos)
 		}
+	}
+	return stepped, nil
+}
+
+// measure runs warmup detailed ops unmeasured, then up to sample detailed
+// ops measured, and returns the measured IPC. A sample the program's end
+// cuts short is measured over the ops it got.
+func measure(c *cpu.Core, pos, warmup, sample uint64) (float64, error) {
+	if _, err := stepTo(c, c.M.Retired()+warmup, (*cpu.Core).StepDetailedBlock); err != nil {
+		return 0, pgsserrors.Invalidf("checkpoint: program ended during warm-up")
 	}
 	startCycles := c.T.Cycle()
-	var done uint64
-	for done < sample {
-		chunk := sample - done
-		if chunk > uint64(len(buf)) {
-			chunk = uint64(len(buf))
-		}
-		n := c.StepDetailedBlock(buf[:chunk])
-		done += uint64(n)
-		if uint64(n) < chunk {
-			break
-		}
-	}
+	// A short sample is not an error: done counts the ops it got.
+	done, _ := stepTo(c, c.M.Retired()+sample, (*cpu.Core).StepDetailedBlock)
 	cycles := c.T.Cycle() - startCycles
 	if cycles == 0 || done == 0 {
-		return 0, seekOps, pgsserrors.Invalidf("checkpoint: empty sample at %d", pos)
+		return 0, pgsserrors.Invalidf("checkpoint: empty sample at %d", pos)
 	}
-	return float64(done) / float64(cycles), seekOps, nil
+	return float64(done) / float64(cycles), nil
 }

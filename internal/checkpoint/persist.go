@@ -94,7 +94,7 @@ func (l *Library) Save(fsys faultinject.FS, path string) error {
 // delete the file and re-record; a missing file keeps its os error (check
 // with os.IsNotExist).
 func Load(fsys faultinject.FS, path string) (*Library, error) {
-	data, err := readLibraryBytes(fsys, path)
+	data, release, err := readLibraryBytes(fsys, path)
 	if err != nil {
 		return nil, err
 	}
@@ -103,6 +103,11 @@ func Load(fsys faultinject.FS, path string) (*Library, error) {
 		lib, err = decodeBinaryLibrary(data)
 	} else {
 		lib, err = decodeGobLibrary(data)
+	}
+	// gob and JSON decode into fresh slices, so nothing the library holds
+	// aliases the file's bytes, and the mapping can go.
+	if rerr := release(); err == nil && rerr != nil {
+		err = rerr
 	}
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
@@ -115,17 +120,19 @@ func Load(fsys faultinject.FS, path string) (*Library, error) {
 
 // readLibraryBytes loads the raw library file — mmapped on the real
 // filesystem, through the FS seam otherwise (injected filesystems must
-// observe every read for fault schedules to stay deterministic).
-func readLibraryBytes(fsys faultinject.FS, path string) ([]byte, error) {
+// observe every read for fault schedules to stay deterministic). release
+// unmaps what was mapped; the bytes must not be used after it.
+func readLibraryBytes(fsys faultinject.FS, path string) (data []byte, release func() error, err error) {
 	if faultinject.IsOS(fsys) {
-		return binenc.MapFile(path)
+		return binenc.MapFileReleasable(path)
 	}
 	f, err := faultinject.Open(fsys, path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	return io.ReadAll(f)
+	data, err = io.ReadAll(f)
+	return data, func() error { return nil }, err
 }
 
 func decodeBinaryLibrary(data []byte) (*Library, error) {

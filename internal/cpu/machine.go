@@ -163,9 +163,18 @@ type MachineState struct {
 // Snapshot captures the architectural state. The data image is copied, so
 // snapshots are O(memory size).
 func (m *Machine) Snapshot() MachineState {
-	return MachineState{
+	var s MachineState
+	m.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto is Snapshot into s, copying the data image into s.Data's
+// backing array when it is large enough, so repeated captures into one
+// state do not allocate.
+func (m *Machine) SnapshotInto(s *MachineState) {
+	*s = MachineState{
 		Regs:         m.regs,
-		Data:         append([]int64(nil), m.data...),
+		Data:         append(s.Data[:0], m.data...),
 		PC:           m.pc,
 		Retired:      m.retired,
 		Halted:       m.halted,

@@ -73,7 +73,13 @@ func (s *Suite) CampaignRun(ctx context.Context, sp campaign.Spec) (sampling.Res
 		// Cores must be built at the same length as the library's recording
 		// core (the snapshot pins the machine footprint); the profile's
 		// TotalOps is the retired count, which the generator may round.
-		newCore := func() (*cpu.Core, error) { return s.newCore(spec, s.targetOps(spec)) }
+		// Every core of the run shares one build: programs are immutable
+		// once built, and Build is deterministic.
+		prog, err := spec.Build(s.targetOps(spec))
+		if err != nil {
+			return sampling.Result{}, err
+		}
+		newCore := func() (*cpu.Core, error) { return coreOver(prog) }
 		src, err := parallel.NewLiveSource(lib, s.hash, newCore, p.TotalOps, p.TrueIPC())
 		if err != nil {
 			return sampling.Result{}, err

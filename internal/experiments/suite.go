@@ -20,6 +20,7 @@ import (
 	"pgss/internal/cpu"
 	"pgss/internal/faultinject"
 	"pgss/internal/profile"
+	"pgss/internal/program"
 	"pgss/internal/sampling"
 	"pgss/internal/workload"
 )
@@ -423,6 +424,11 @@ func (s *Suite) newCore(spec *workload.Spec, ops uint64) (*cpu.Core, error) {
 	if err != nil {
 		return nil, err
 	}
+	return coreOver(prog)
+}
+
+// coreOver builds a fresh core of the default configuration over prog.
+func coreOver(prog *program.Program) (*cpu.Core, error) {
 	m, err := cpu.NewMachine(prog)
 	if err != nil {
 		return nil, err

@@ -117,12 +117,14 @@ func (s profileSampler) Sample(pos, warm, sample uint64) (float64, error) {
 }
 
 // LiveSource drives cycle-level simulators through a checkpoint library:
-// every shard and every sample worker owns an independent core, restored
-// from the nearest checkpoint and warmed forward. Restoring is
-// bit-identical to continuous simulation, and window BBVs drop the
-// tracker's pending ops at every boundary, so the windows — and therefore
-// the whole run — are invariant to the shard layout: the engine returns
-// identical results for any Shards/SampleWorkers setting.
+// every shard and every sample worker owns an independent core. A shard
+// restores the nearest checkpoint's machine state and fast-forwards; a
+// sampler restores the nearest checkpoint, or its own nearer cursor, and
+// warms forward. Restoring is bit-identical to continuous simulation, and
+// window BBVs drop the tracker's pending ops at every boundary, so the
+// windows — and therefore the whole run — are invariant to the shard
+// layout: the engine returns identical results for any
+// Shards/SampleWorkers setting.
 //
 // Live semantics differ in one documented respect from the serial
 // sampling.LiveTarget: the serial target carries pending (post-last-branch)
@@ -179,16 +181,19 @@ func (s *LiveSource) TotalOps() uint64 { return s.total }
 // TrueIPC implements Source.
 func (s *LiveSource) TrueIPC() float64 { return s.trueIPC }
 
-// Windows implements Source: one shard, one core. The core seeks to the
-// shard's start (checkpoint restore + functional warm-forward) and then
-// fast-forwards through the shard's windows with the BBV tracker attached.
+// Windows implements Source: one shard, one core. Windows depend only on
+// the architectural retire stream (taken-branch addresses, op classes and
+// data addresses), which cache and predictor warming never feed back into,
+// so the shard runs functionally: its core restores the nearest
+// checkpoint's machine state, fast-forwards to the shard's start and then
+// through the shard's windows with the BBV tracker attached.
 func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out []Window) error {
 	c, err := s.newCore()
 	if err != nil {
 		return fmt.Errorf("parallel: core factory: %w", err)
 	}
 	start := uint64(first) * ffOps
-	if _, err := s.lib.Seek(c, start); err != nil {
+	if _, err := s.lib.SeekFF(c, start); err != nil {
 		return fmt.Errorf("parallel: shard at window %d: %w", first, err)
 	}
 	tracker := bbv.NewTracker(s.hash)
@@ -206,16 +211,16 @@ func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out [
 		if remaining := s.total - pos; remaining < want {
 			want = remaining
 		}
-		// Superblock-batched functional warming with run-batched tracker
-		// updates; exact-integer float accumulation makes the window BBVs
-		// identical to the historical per-op loop.
+		// Superblock-batched fast-forward with run-batched tracker updates;
+		// exact-integer float accumulation makes the window BBVs identical
+		// to the historical per-op loop.
 		var done, run uint64
 		for done < want && !c.M.Halted() {
 			chunk := want - done
 			if chunk > uint64(len(buf)) {
 				chunk = uint64(len(buf))
 			}
-			n := c.StepWarmBlock(buf[:chunk])
+			n := c.StepFFBlock(buf[:chunk])
 			for j := range buf[:n] {
 				run++
 				if buf[j].Taken {
@@ -254,22 +259,13 @@ func (s *LiveSource) Windows(ctx context.Context, ffOps uint64, first int, out [
 	return nil
 }
 
-// NewSampler implements Source: each worker owns a core it repeatedly
-// restores from the library (TurboSMARTS-style random-access live samples).
+// NewSampler implements Source: each worker owns a core it restores from
+// the library or from its own cursor (TurboSMARTS-style random-access live
+// samples; see checkpoint.Sampler).
 func (s *LiveSource) NewSampler() (Sampler, error) {
 	c, err := s.newCore()
 	if err != nil {
 		return nil, fmt.Errorf("parallel: core factory: %w", err)
 	}
-	return &liveSampler{lib: s.lib, core: c}, nil
-}
-
-type liveSampler struct {
-	lib  *checkpoint.Library
-	core *cpu.Core
-}
-
-func (s *liveSampler) Sample(pos, warm, sample uint64) (float64, error) {
-	ipc, _, err := s.lib.SampleAt(s.core, pos, warm, sample)
-	return ipc, err
+	return s.lib.NewSampler(c), nil
 }
