@@ -303,8 +303,8 @@ func TestMapFile(t *testing.T) {
 }
 
 // TestMapFileReleasable: the releasable mapping holds the file's bytes,
-// releases cleanly, and for empty files (which are never mapped) release
-// does nothing.
+// releases cleanly, and for empty files (which are never mapped) there is
+// no release.
 func TestMapFileReleasable(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "container.bin")
 	data := build(t, 2, []byte("released"))
@@ -318,6 +318,9 @@ func TestMapFileReleasable(t *testing.T) {
 	if !bytes.Equal(mapped, data) {
 		t.Fatal("mapped bytes differ from the file")
 	}
+	if release == nil {
+		t.Fatal("MapFileReleasable returned no release for a mapped file")
+	}
 	if err := release(); err != nil {
 		t.Fatalf("release: %v", err)
 	}
@@ -330,8 +333,8 @@ func TestMapFileReleasable(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("MapFileReleasable(empty) = %d bytes, %v", len(got), err)
 	}
-	if err := release(); err != nil {
-		t.Fatalf("release of an unmapped buffer: %v", err)
+	if release != nil {
+		t.Fatal("MapFileReleasable(empty) returned a release for a buffer it never mapped")
 	}
 	if _, _, err := MapFileReleasable(filepath.Join(t.TempDir(), "missing.bin")); err == nil {
 		t.Fatal("MapFileReleasable(missing) succeeded")

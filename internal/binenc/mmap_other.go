@@ -12,7 +12,8 @@ func MapFile(path string) ([]byte, error) {
 }
 
 // MapFileReleasable is MapFile plus a release function; with no mapping to
-// undo, release does nothing.
+// undo, release is always nil.
 func MapFileReleasable(path string) (data []byte, release func() error, err error) {
-	return readFile(path)
+	data, err = os.ReadFile(path)
+	return data, nil, err
 }

@@ -23,9 +23,10 @@ func MapFile(path string) ([]byte, error) {
 }
 
 // MapFileReleasable is MapFile plus a release function that unmaps the
-// bytes. Release only ever unmaps a mapping this call created: for empty
-// files and the os.ReadFile fallbacks it does nothing. After release the
-// bytes, and every slice that aliases them, must not be touched again.
+// bytes. Release is nil when nothing was mapped (empty files and the
+// os.ReadFile fallbacks), so it only ever unmaps a mapping this call
+// created. After release the bytes, and every slice that aliases them,
+// must not be touched again.
 func MapFileReleasable(path string) (data []byte, release func() error, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -38,17 +39,19 @@ func MapFileReleasable(path string) (data []byte, release func() error, err erro
 	}
 	size := st.Size()
 	if size == 0 {
-		return []byte{}, noRelease, nil
+		return []byte{}, nil, nil
 	}
 	if int64(int(size)) != size {
-		return readFile(path)
+		data, err := os.ReadFile(path)
+		return data, nil, err
 	}
 	data, err = syscall.Mmap(int(f.Fd()), 0, int(size),
 		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE)
 	if err != nil {
 		// Filesystems without mmap support (some network mounts) fall back
 		// to a plain read.
-		return readFile(path)
+		data, err := os.ReadFile(path)
+		return data, nil, err
 	}
 	return data, func() error { return syscall.Munmap(data) }, nil
 }

@@ -198,8 +198,9 @@ func (l *Library) SampleAt(c *cpu.Core, pos, warmup, sample uint64) (ipc float64
 // checkpoint. That is exact: the cursor is itself restore(checkpoint) +
 // warm(→cursor) for that same checkpoint, and warming is chunk-invariant,
 // so warming on to pos gives restore(checkpoint) + warm(→pos) bit for bit.
-// Samples requested in ascending order, as the one-worker engine requests
-// them, mostly resume from the cursor.
+// A sample therefore resumes from the cursor only when the same sampler's
+// previous sample lies below it in the same checkpoint interval; every
+// other sample pays the capture and gains nothing from it.
 type Sampler struct {
 	lib       *Library
 	core      *cpu.Core

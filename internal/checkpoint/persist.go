@@ -106,8 +106,10 @@ func Load(fsys faultinject.FS, path string) (*Library, error) {
 	}
 	// gob and JSON decode into fresh slices, so nothing the library holds
 	// aliases the file's bytes, and the mapping can go.
-	if rerr := release(); err == nil && rerr != nil {
-		err = rerr
+	if release != nil {
+		if rerr := release(); err == nil && rerr != nil {
+			err = rerr
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
@@ -121,7 +123,8 @@ func Load(fsys faultinject.FS, path string) (*Library, error) {
 // readLibraryBytes loads the raw library file — mmapped on the real
 // filesystem, through the FS seam otherwise (injected filesystems must
 // observe every read for fault schedules to stay deterministic). release
-// unmaps what was mapped; the bytes must not be used after it.
+// unmaps what was mapped, and the bytes must not be used after it; it is
+// nil when nothing was mapped.
 func readLibraryBytes(fsys faultinject.FS, path string) (data []byte, release func() error, err error) {
 	if faultinject.IsOS(fsys) {
 		return binenc.MapFileReleasable(path)
@@ -132,7 +135,7 @@ func readLibraryBytes(fsys faultinject.FS, path string) (data []byte, release fu
 	}
 	defer f.Close()
 	data, err = io.ReadAll(f)
-	return data, func() error { return nil }, err
+	return data, nil, err
 }
 
 func decodeBinaryLibrary(data []byte) (*Library, error) {
